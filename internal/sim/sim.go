@@ -48,21 +48,6 @@ func FixedInterval(T float64) Planner {
 	return PlannerFunc(func(float64) (float64, bool) { return T, true })
 }
 
-// InterruptedPolicy selects how interrupted (partially completed)
-// transfers are charged to the network.
-type InterruptedPolicy int
-
-const (
-	// InterruptedProrated charges bytes in proportion to the fraction
-	// of the transfer completed before the failure (default; a 500 MB
-	// checkpoint killed halfway moved ~250 MB through the network).
-	InterruptedProrated InterruptedPolicy = iota
-	// InterruptedFull charges the full transfer size.
-	InterruptedFull
-	// InterruptedFree charges nothing.
-	InterruptedFree
-)
-
 // Config parameterizes one simulation run.
 type Config struct {
 	// Costs gives the checkpoint and recovery durations (seconds). L
@@ -72,13 +57,6 @@ type Config struct {
 	// CheckpointMB is the size of one checkpoint or recovery image in
 	// megabytes (the paper uses 500).
 	CheckpointMB float64
-	// Interrupted selects the accounting policy for interrupted
-	// transfers.
-	Interrupted InterruptedPolicy
-	// SkipFirstRecovery, when true, lets the very first availability
-	// period begin computing immediately (a job with no prior state).
-	// The paper's steady-state accounting keeps it false.
-	SkipFirstRecovery bool
 	// Trace, when set, records one "period" span per availability
 	// duration plus "transfer.recovery"/"transfer.checkpoint" child
 	// spans and "evicted" instants, all timestamped on the run's
@@ -124,7 +102,7 @@ type Result struct {
 	// failed ones), seconds.
 	CheckpointTime float64
 	// MBTransferred is the network load in megabytes (recoveries +
-	// checkpoints, interrupted transfers per the policy).
+	// checkpoints, interrupted transfers prorated by chargeMB).
 	MBTransferred float64
 	// Commits counts completed work-interval+checkpoint cycles.
 	Commits int
@@ -196,22 +174,14 @@ func (r *Result) add(o Result) {
 var ErrNoAvailabilities = errors.New("sim: no availability durations")
 
 // chargeMB returns the megabytes charged for a transfer of size mb
-// that ran for elapsed out of want seconds.
-func chargeMB(mb, elapsed, want float64, complete bool, policy InterruptedPolicy) float64 {
-	if complete {
-		return mb
-	}
-	switch policy {
-	case InterruptedFull:
-		return mb
-	case InterruptedFree:
+// interrupted after elapsed of its want seconds: the completed fraction
+// crossed the network (a 500 MB checkpoint killed halfway moved
+// ~250 MB).
+func chargeMB(mb, elapsed, want float64) float64 {
+	if want <= 0 {
 		return 0
-	default:
-		if want <= 0 {
-			return 0
-		}
-		return mb * elapsed / want
 	}
+	return mb * elapsed / want
 }
 
 // Run simulates the job over the given availability durations using
@@ -309,38 +279,36 @@ func Run(avail []float64, planner Planner, cfg Config) (Result, error) {
 			}
 		}
 
-		if !(idx == 0 && cfg.SkipFirstRecovery) {
-			if remaining < R {
-				// Evicted during recovery.
-				charged := chargeMB(cfg.CheckpointMB, remaining, R, false, cfg.Interrupted)
-				res.RecoveryTime += remaining
-				res.FailedRecoveries++
-				res.MBTransferred += charged
-				so.advanceBefore(elapsed)
-				so.addMB(charged)
-				so.evict()
-				if tr != nil {
-					tr.SpanAt(pid, 1, "transfer.recovery", now, remaining,
-						obs.AttrStr("outcome", "interrupted"), obs.AttrFloat("mb", charged))
-					tr.EventAt(pid, 1, "evicted", start+a)
-				}
-				endPeriod()
-				so.periodEnd(elapsed, &res)
-				continue
-			}
-			res.RecoveryTime += R
-			res.Recoveries++
-			res.MBTransferred += cfg.CheckpointMB
-			so.advanceBefore(now + R)
-			so.addMB(cfg.CheckpointMB)
+		if remaining < R {
+			// Evicted during recovery.
+			charged := chargeMB(cfg.CheckpointMB, remaining, R)
+			res.RecoveryTime += remaining
+			res.FailedRecoveries++
+			res.MBTransferred += charged
+			so.advanceBefore(elapsed)
+			so.addMB(charged)
+			so.evict()
 			if tr != nil {
-				tr.SpanAt(pid, 1, "transfer.recovery", now, R,
-					obs.AttrStr("outcome", "done"), obs.AttrFloat("mb", cfg.CheckpointMB))
+				tr.SpanAt(pid, 1, "transfer.recovery", now, remaining,
+					obs.AttrStr("outcome", "interrupted"), obs.AttrFloat("mb", charged))
+				tr.EventAt(pid, 1, "evicted", start+a)
 			}
-			now += R
-			remaining -= R
-			age += R
+			endPeriod()
+			so.periodEnd(elapsed, &res)
+			continue
 		}
+		res.RecoveryTime += R
+		res.Recoveries++
+		res.MBTransferred += cfg.CheckpointMB
+		so.advanceBefore(now + R)
+		so.addMB(cfg.CheckpointMB)
+		if tr != nil {
+			tr.SpanAt(pid, 1, "transfer.recovery", now, R,
+				obs.AttrStr("outcome", "done"), obs.AttrFloat("mb", cfg.CheckpointMB))
+		}
+		now += R
+		remaining -= R
+		age += R
 
 		for remaining > 0 {
 			T, ok := planner.IntervalAt(age)
@@ -362,108 +330,68 @@ func Run(avail []float64, planner Planner, cfg Config) (Result, error) {
 			// An alarm due mid-interval interrupts the interval at its
 			// firing instant under the proactive and migrate policies (the
 			// job cannot tell true alarms from false ones — that is what
-			// precision costs).
-			w := 0.0
-			if !actNow && cfg.Policy != predict.PolicyReactive &&
+			// precision costs). w is the work done before the transfer
+			// starts: the planned interval, or the alarm's offset into it.
+			w := T
+			if actNow {
+				w = 0
+			} else if cfg.Policy != predict.PolicyReactive &&
 				ai < len(alarms) && alarms[ai].At < age+T {
 				w = alarms[ai].At - age
 				fireAlarm(alarms[ai])
 				ai++
 				actNow = true
 			}
+			kind, why := "transfer.checkpoint", obs.AttrFloat("t_interval", T)
 			if actNow {
-				kind := "transfer.checkpoint"
+				why = obs.AttrStr("trigger", "predict")
 				if cfg.Policy == predict.PolicyMigrate {
 					kind = "transfer.migrate"
 				}
-				switch {
-				case remaining >= w+C:
-					// The image makes it out before the predicted failure.
-					res.UsefulWork += w
-					res.CheckpointTime += C
-					res.MBTransferred += cfg.CheckpointMB
-					so.advanceBefore(now + w + C)
-					so.addMB(cfg.CheckpointMB)
-					if tr != nil {
-						tr.SpanAt(pid, 1, kind, now+w, C,
-							obs.AttrStr("outcome", "done"),
-							obs.AttrFloat("mb", cfg.CheckpointMB),
-							obs.AttrStr("trigger", "predict"))
-					}
-					if cfg.Policy == predict.PolicyMigrate {
-						res.Migrations++
-						res.MigrationMB += cfg.CheckpointMB
-						predict.Metrics.Migrations.Inc()
-						// The job left for a fresher resource: the tail of
-						// this period is no longer occupied time, so the
-						// migration costs one transfer plus the next
-						// period's recovery.
-						res.TotalTime -= remaining - (w + C)
-						migrated = true
-						remaining = 0
-					} else {
-						res.ProactiveCheckpoints++
-						predict.Metrics.ProactiveCheckpoints.Inc()
-						now += w + C
-						remaining -= w + C
-						age += w + C
-					}
-				case remaining > w:
-					// The real eviction lands mid-transfer: the alarm came
-					// too late (or the image is too large) to finish.
-					partial := remaining - w
-					charged := chargeMB(cfg.CheckpointMB, partial, C, false, cfg.Interrupted)
-					res.LostWork += w
-					res.CheckpointTime += partial
-					res.FailedCheckpoints++
-					res.MBTransferred += charged
-					so.advanceBefore(elapsed)
-					so.addMB(charged)
-					so.evict()
-					if tr != nil {
-						tr.SpanAt(pid, 1, kind, now+w, partial,
-							obs.AttrStr("outcome", "interrupted"), obs.AttrFloat("mb", charged))
-						tr.EventAt(pid, 1, "evicted", start+a)
-					}
-					remaining = 0
-				default:
-					// Evicted at the alarm instant itself.
-					res.LostWork += w
-					res.FailedIntervals++
-					so.advanceBefore(elapsed)
-					so.evict()
-					if tr != nil {
-						tr.EventAt(pid, 1, "evicted", start+a)
-					}
-					remaining = 0
-				}
-				continue
 			}
 			switch {
-			case remaining >= T+C:
-				// Interval and checkpoint both complete.
-				res.UsefulWork += T
+			case remaining >= w+C:
+				// The work and its checkpoint both complete: the image
+				// makes it out before the (predicted) failure.
+				res.UsefulWork += w
 				res.CheckpointTime += C
 				res.MBTransferred += cfg.CheckpointMB
-				res.Commits++
-				so.advanceBefore(now + T + C)
+				so.advanceBefore(now + w + C)
 				so.addMB(cfg.CheckpointMB)
-				so.commit()
 				if tr != nil {
-					tr.SpanAt(pid, 1, "transfer.checkpoint", now+T, C,
+					tr.SpanAt(pid, 1, kind, now+w, C,
 						obs.AttrStr("outcome", "done"),
-						obs.AttrFloat("mb", cfg.CheckpointMB),
-						obs.AttrFloat("t_interval", T))
+						obs.AttrFloat("mb", cfg.CheckpointMB), why)
 				}
-				now += T + C
-				remaining -= T + C
-				age += T + C
-			case remaining > T:
-				// Evicted mid-checkpoint: the interval's work is lost
-				// and the partial transfer still crossed the network.
-				partial := remaining - T
-				charged := chargeMB(cfg.CheckpointMB, partial, C, false, cfg.Interrupted)
-				res.LostWork += T
+				switch {
+				case !actNow:
+					res.Commits++
+					so.commit()
+				case cfg.Policy == predict.PolicyMigrate:
+					res.Migrations++
+					res.MigrationMB += cfg.CheckpointMB
+					predict.Metrics.Migrations.Inc()
+					// The job left for a fresher resource: the tail of
+					// this period is no longer occupied time, so the
+					// migration costs one transfer plus the next
+					// period's recovery.
+					res.TotalTime -= remaining - (w + C)
+					migrated = true
+					remaining = 0
+					continue
+				default:
+					res.ProactiveCheckpoints++
+					predict.Metrics.ProactiveCheckpoints.Inc()
+				}
+				now += w + C
+				remaining -= w + C
+				age += w + C
+			case remaining > w:
+				// Evicted mid-checkpoint: the work is lost and the partial
+				// transfer still crossed the network.
+				partial := remaining - w
+				charged := chargeMB(cfg.CheckpointMB, partial, C)
+				res.LostWork += w
 				res.CheckpointTime += partial
 				res.FailedCheckpoints++
 				res.MBTransferred += charged
@@ -471,14 +399,18 @@ func Run(avail []float64, planner Planner, cfg Config) (Result, error) {
 				so.addMB(charged)
 				so.evict()
 				if tr != nil {
-					tr.SpanAt(pid, 1, "transfer.checkpoint", now+T, partial,
+					tr.SpanAt(pid, 1, kind, now+w, partial,
 						obs.AttrStr("outcome", "interrupted"), obs.AttrFloat("mb", charged))
 					tr.EventAt(pid, 1, "evicted", start+a)
 				}
 				remaining = 0
 			default:
-				// Evicted mid-computation.
-				res.LostWork += remaining
+				// Evicted mid-computation (or at the alarm instant itself).
+				if actNow {
+					res.LostWork += w
+				} else {
+					res.LostWork += remaining
+				}
 				res.FailedIntervals++
 				so.advanceBefore(elapsed)
 				so.evict()
@@ -486,9 +418,6 @@ func Run(avail []float64, planner Planner, cfg Config) (Result, error) {
 					tr.EventAt(pid, 1, "evicted", start+a)
 				}
 				remaining = 0
-			}
-			if remaining <= 0 {
-				break
 			}
 		}
 		endPeriod()
