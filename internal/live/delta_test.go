@@ -1,9 +1,12 @@
 package live
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/cycleharvest/ckptsched/internal/ckptnet"
+	"github.com/cycleharvest/ckptsched/internal/obs"
 )
 
 // totalsOf sums the campaign counters a delta comparison cares about.
@@ -156,5 +159,77 @@ func TestRunCampaignVariableCostRequiresDelta(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("VariableCost without Enabled should be rejected")
+	}
+}
+
+// rateLink moves bytes at a fixed rate (bytes per second), so transfer
+// times are exact.
+type rateLink float64
+
+func (r rateLink) TransferTime(bytes int64, _ *rand.Rand) float64 { return float64(bytes) / float64(r) }
+func (rateLink) Name() string                                     { return "rate" }
+
+// An eviction that lands halfway through a delta checkpoint bills half
+// of that delta's bytes — to the sample and to the wire series — not
+// half of the full image.
+func TestEvictionMidDeltaBillsDeltaBytes(t *testing.T) {
+	machines, history := testbed(t, 4, 11)
+	cfg := CampaignConfig{
+		Machines:     machines,
+		History:      history,
+		Link:         rateLink(5 * ckptnet.MB),
+		CheckpointMB: 500,
+		Delta:        DeltaPolicy{Enabled: true, DirtyRate: 0.0002},
+	}
+	cfg.setDefaults()
+	fits, err := newFitCache(history, cfg.MinHistory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := func(evictAt float64, tr *obs.Tracer) (Sample, int64) {
+		c := cfg
+		c.Tracer = tr
+		c.Wire = obs.NewByteSeries(evictAt+1, 1)
+		al := allocation{machine: machines[0], evictAt: evictAt}
+		s, err := runSession(c, ckptnet.ChaosLink{Inner: c.Link}, fits, nil, 0, al, rand.New(rand.NewSource(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, c.Wire.Total()
+	}
+
+	// A long session locates the first delta checkpoint and the megabytes
+	// of every transfer that completed before it started.
+	tr := obs.NewTracer(obs.TracerOptions{Clock: func() float64 { return 0 }, FullFidelity: true, RingCapacity: -1})
+	session(1e6, tr)
+	var doneMB, deltaMB, at, dur float64
+	for _, ev := range tr.Events() {
+		if ev.Name != "transfer.recovery" && ev.Name != "transfer.checkpoint" {
+			continue
+		}
+		var mb float64
+		for _, a := range ev.Attrs {
+			if a.Key == "mb" {
+				mb = a.Value().(float64)
+			}
+		}
+		if ev.Name == "transfer.checkpoint" && mb < cfg.CheckpointMB {
+			deltaMB, at, dur = mb, ev.Ts, ev.Dur
+			break
+		}
+		doneMB += mb
+	}
+	if deltaMB == 0 {
+		t.Fatal("no delta checkpoint in the session")
+	}
+
+	s, wire := session(at+dur/2, nil)
+	billed := s.MBMoved - doneMB
+	if billed > deltaMB || math.Abs(billed-deltaMB/2) > 1e-9 {
+		t.Errorf("evicted mid-delta billed %g MB, want half of the %g MB delta", billed, deltaMB)
+	}
+	wireMB := float64(wire)/ckptnet.MB - doneMB
+	if math.Abs(wireMB-deltaMB/2) > 1.0/ckptnet.MB {
+		t.Errorf("wire series billed %g MB for the torn delta, want %g", wireMB, deltaMB/2)
 	}
 }
