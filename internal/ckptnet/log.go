@@ -161,38 +161,42 @@ type Summary struct {
 	DeltaCheckpoints int
 }
 
+// billedBytes is the one byte-billing rule for a session event. A
+// completed transfer bills its wire byte count (Value) for
+// content-mode transfers and the assigned image size for legacy events,
+// which carry 0. Delta checkpoints bill Value exactly, including a
+// legitimate 0 for a fully deduped image, and interrupted transfers
+// bill their partial bytes. Other events move nothing.
+func billedBytes(kind EventKind, value float64, imageBytes int64) int64 {
+	switch kind {
+	case EvRecoveryDone, EvCheckpointDone:
+		if value > 0 {
+			return int64(value)
+		}
+		return imageBytes
+	case EvDeltaCheckpointDone, EvRecoveryInterrupted, EvCheckpointInterrupted:
+		return int64(value)
+	}
+	return 0
+}
+
 // Summarize computes the Summary of the log.
 func (l *SessionLog) Summarize() Summary {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var s Summary
 	for _, e := range l.Events {
+		s.BytesMoved += billedBytes(e.Kind, e.Value, l.CheckpointBytes)
 		switch e.Kind {
 		case EvRecoveryDone:
-			// Value is the wire byte count for content-mode transfers;
-			// legacy events carry 0 and bill the assigned image size.
 			s.Recoveries++
-			if e.Value > 0 {
-				s.BytesMoved += int64(e.Value)
-			} else {
-				s.BytesMoved += l.CheckpointBytes
-			}
 		case EvCheckpointDone:
 			s.Checkpoints++
-			if e.Value > 0 {
-				s.BytesMoved += int64(e.Value)
-			} else {
-				s.BytesMoved += l.CheckpointBytes
-			}
 		case EvDeltaCheckpointDone:
-			// Delta wire bytes are exact, including a legitimate 0 for a
-			// fully deduped image.
 			s.Checkpoints++
 			s.DeltaCheckpoints++
-			s.BytesMoved += int64(e.Value)
 		case EvRecoveryInterrupted, EvCheckpointInterrupted:
 			s.Interrupted++
-			s.BytesMoved += int64(e.Value)
 		case EvHeartbeat:
 			s.Heartbeats++
 			if e.Value > s.LastHeartbeat {

@@ -75,34 +75,23 @@ func newManagerMetrics(r *obs.Registry) managerMetrics {
 // record appends the event to the session log, bumps the matching
 // manager counter, and returns the event's sequence id (for trace
 // correlation). The switch below must mirror SessionLog.Summarize
-// case for case — that shared structure, not an after-the-fact export,
-// is what makes the registry reconcile exactly with the summed
-// per-session summaries.
+// case for case, and both bill bytes through billedBytes — that shared
+// structure, not an after-the-fact export, is what makes the registry
+// reconcile exactly with the summed per-session summaries.
 func (m *Manager) record(l *SessionLog, kind EventKind, value float64) int64 {
 	seq := l.Add(kind, value)
 	mm := &m.metrics
+	mm.bytesMoved.Add(uint64(billedBytes(kind, value, l.CheckpointBytes)))
 	switch kind {
 	case EvRecoveryDone:
 		mm.recoveries.Inc()
-		if value > 0 {
-			mm.bytesMoved.Add(uint64(value))
-		} else {
-			mm.bytesMoved.Add(uint64(l.CheckpointBytes))
-		}
 	case EvCheckpointDone:
 		mm.checkpoints.Inc()
-		if value > 0 {
-			mm.bytesMoved.Add(uint64(value))
-		} else {
-			mm.bytesMoved.Add(uint64(l.CheckpointBytes))
-		}
 	case EvDeltaCheckpointDone:
 		mm.checkpoints.Inc()
 		mm.deltaCheckpoints.Inc()
-		mm.bytesMoved.Add(uint64(value))
 	case EvRecoveryInterrupted, EvCheckpointInterrupted:
 		mm.interrupted.Inc()
-		mm.bytesMoved.Add(uint64(value))
 	case EvHeartbeat:
 		mm.heartbeats.Inc()
 	case EvTopt:
