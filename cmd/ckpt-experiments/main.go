@@ -26,8 +26,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -135,7 +133,7 @@ func main() {
 		parallel.Instrument(reg)
 		predict.Instrument(reg)
 	}
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := cliflag.StartProfiles("ckpt-experiments", *cpuprofile, *memprofile)
 	if err == nil {
 		err = runExperiments(opts)
 	}
@@ -149,44 +147,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ckpt-experiments:", err)
 		os.Exit(1)
 	}
-}
-
-// startProfiles begins CPU profiling and arranges a heap snapshot; the
-// returned stop function must run before exit (os.Exit skips defers,
-// so main sequences it explicitly).
-func startProfiles(cpuPath, memPath string) (stop func(), err error) {
-	stop = func() {}
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return stop, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return stop, err
-		}
-		stop = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-	}
-	if memPath != "" {
-		cpuStop := stop
-		stop = func() {
-			cpuStop()
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ckpt-experiments: memprofile:", err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "ckpt-experiments: memprofile:", err)
-			}
-			f.Close()
-		}
-	}
-	return stop, nil
 }
 
 func runExperiments(opts options) error {

@@ -34,7 +34,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -97,20 +96,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ckpt-load:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "ckpt-load:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfile, err := cliflag.StartProfiles("ckpt-load", *cpuprofile, "")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "ckpt-load:", err)
+		os.Exit(1)
 	}
 	res, err := run(cfg)
+	stopProfile()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ckpt-load:", err)
 		os.Exit(1)

@@ -18,9 +18,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
+	"github.com/cycleharvest/ckptsched/internal/cliflag"
 	"github.com/cycleharvest/ckptsched/internal/dist"
 	"github.com/cycleharvest/ckptsched/internal/fit"
 	"github.com/cycleharvest/ckptsched/internal/markov"
@@ -68,7 +67,7 @@ func main() {
 		fit.Instrument(reg)
 		markov.Instrument(reg)
 	}
-	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
+	stopProfiles, err := cliflag.StartProfiles("ckpt-sim", *cpuprofile, *memprofile)
 	if err == nil {
 		err = run(opts)
 	}
@@ -82,44 +81,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ckpt-sim:", err)
 		os.Exit(1)
 	}
-}
-
-// startProfiles begins CPU profiling and arranges a heap snapshot; the
-// returned stop function must run before exit (os.Exit skips defers,
-// so main sequences it explicitly).
-func startProfiles(cpuPath, memPath string) (stop func(), err error) {
-	stop = func() {}
-	if cpuPath != "" {
-		f, err := os.Create(cpuPath)
-		if err != nil {
-			return stop, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			return stop, err
-		}
-		stop = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-	}
-	if memPath != "" {
-		cpuStop := stop
-		stop = func() {
-			cpuStop()
-			f, err := os.Create(memPath)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "ckpt-sim: memprofile:", err)
-				return
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "ckpt-sim: memprofile:", err)
-			}
-			f.Close()
-		}
-	}
-	return stop, nil
 }
 
 // loadWorkload returns the availability set: the -avail CSV when

@@ -2,7 +2,8 @@
 // starts. Contradictory flags — a negative drop probability, a zero
 // machine count — fail fast with one aggregated, per-flag error
 // message instead of being silently clamped into a run the user did
-// not ask for.
+// not ask for. StartProfiles backs the -cpuprofile/-memprofile flags
+// the CLIs share.
 package cliflag
 
 import (
