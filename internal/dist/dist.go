@@ -69,6 +69,31 @@ func IsMemoryless(d Distribution) bool {
 	return ok && m.Memoryless()
 }
 
+// Evaler is an optional capability interface for distributions that
+// evaluate Survival, CDF and PartialMoment at one point together,
+// sharing the special-function work the three have in common (the
+// per-phase e^(-λᵢx) of a hyperexponential, the (x/β)^α of a Weibull).
+// The Markov model's Γ probe needs all three at the same abscissa.
+//
+// Implementations must return exactly what the three methods return:
+// the same math calls on the same arguments, combined by the same
+// expressions in the same order, so a fused evaluation is bitwise
+// identical to the separate calls (NaN included). Consumers detect the
+// capability through Eval.
+type Evaler interface {
+	Eval(x float64) (s, cdf, pm float64)
+}
+
+// Eval returns d's Survival, CDF and PartialMoment at x, through the
+// Evaler capability when d has it and by the three method calls
+// otherwise.
+func Eval(d Distribution, x float64) (s, cdf, pm float64) {
+	if e, ok := d.(Evaler); ok {
+		return e.Eval(x)
+	}
+	return d.Survival(x), d.CDF(x), d.PartialMoment(x)
+}
+
 // quantileByBisection inverts a CDF numerically. It is the generic
 // fallback used by families without a closed-form quantile.
 func quantileByBisection(cdf func(float64) float64, p float64) float64 {

@@ -42,7 +42,7 @@ func (e *Empirical) CDF(x float64) float64 {
 func (e *Empirical) Survival(x float64) float64 { return 1 - e.CDF(x) }
 
 // PDF is not defined for an empirical distribution; it returns 0. The
-// type intentionally does not satisfy Distribution's contract of a
+// type satisfies the Distribution interface but not its contract of a
 // density — it is a CDF-only object.
 func (e *Empirical) PDF(float64) float64 { return 0 }
 
@@ -70,6 +70,22 @@ func (e *Empirical) Mean() float64 {
 	}
 	return sum / float64(len(e.sorted))
 }
+
+// PartialMoment returns the sample's contribution to the mean from
+// values up to x: Σ_{xᵢ ≤ x} xᵢ / n, the empirical ∫₀ˣ t dF(t).
+func (e *Empirical) PartialMoment(x float64) float64 {
+	sum := 0.0
+	for _, v := range e.sorted {
+		if v > x {
+			break
+		}
+		sum += v
+	}
+	return sum / float64(len(e.sorted))
+}
+
+// Name implements Distribution.
+func (e *Empirical) Name() string { return "empirical" }
 
 // Rand draws uniformly from the sample (bootstrap sampling).
 func (e *Empirical) Rand(rng *rand.Rand) float64 {

@@ -80,6 +80,17 @@ func (e Exponential) PartialMoment(x float64) float64 {
 	return inv - math.Exp(-e.Lambda*x)*(x+inv)
 }
 
+// Eval implements Evaler: one e^(-λx) serves the survival and the
+// partial moment.
+func (e Exponential) Eval(x float64) (s, cdf, pm float64) {
+	if x <= 0 {
+		return 1, 0, 0
+	}
+	s = math.Exp(-e.Lambda * x)
+	inv := 1 / e.Lambda
+	return s, -math.Expm1(-e.Lambda * x), inv - s*(x+inv)
+}
+
 // SurvivalIntegral implements SurvivalIntegraler:
 // ∫ₓ^∞ e^(-λu) du = e^(-λx)/λ.
 func (e Exponential) SurvivalIntegral(x float64) float64 {

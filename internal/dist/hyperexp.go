@@ -128,6 +128,21 @@ func (h Hyperexponential) PartialMoment(x float64) float64 {
 	return sum
 }
 
+// Eval implements Evaler: one e^(-λᵢx) per phase feeds both the
+// survival and the partial-moment sums, and the CDF is 1 − S as in CDF.
+func (h Hyperexponential) Eval(x float64) (s, cdf, pm float64) {
+	if x <= 0 {
+		return 1, 0, 0
+	}
+	for i := range h.P {
+		e := math.Exp(-h.Lambda[i] * x)
+		s += h.P[i] * e
+		inv := 1 / h.Lambda[i]
+		pm += h.P[i] * (inv - e*(x+inv))
+	}
+	return s, 1 - s, pm
+}
+
 // SurvivalIntegral implements SurvivalIntegraler:
 // Σᵢ pᵢ e^(-λᵢx)/λᵢ.
 func (h Hyperexponential) SurvivalIntegral(x float64) float64 {

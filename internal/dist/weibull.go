@@ -103,6 +103,16 @@ func (w Weibull) PartialMoment(x float64) float64 {
 	return w.Scale * mathx.GammaP(a, z) * math.Gamma(a)
 }
 
+// Eval implements Evaler: one z = (x/β)^α serves all three.
+func (w Weibull) Eval(x float64) (s, cdf, pm float64) {
+	if x <= 0 {
+		return 1, 0, 0
+	}
+	z := math.Pow(x/w.Scale, w.Shape)
+	a := 1 + 1/w.Shape
+	return math.Exp(-z), -math.Expm1(-z), w.Scale * mathx.GammaP(a, z) * math.Gamma(a)
+}
+
 // SurvivalIntegral implements SurvivalIntegraler. Substituting
 // z = (u/β)^α,
 //

@@ -119,6 +119,11 @@ func (r *CensoringResult) Cell(s CensoringStrategy, m fit.Model) (CensoringCell,
 // recorded as censored. Each censoring strategy fits each model from
 // the short window, and every fitted model replays the same
 // experimental trace.
+//
+// The two monitoring passes run concurrently, and the machines fan out
+// over GOMAXPROCS workers. Each machine fills its own slot and the
+// slots are folded in machine order, so the means, the table and a
+// traced run's output are identical at any GOMAXPROCS.
 func RunCensoring(cfg CensoringConfig) (*CensoringResult, error) {
 	cfg.setDefaults()
 	machines, err := condor.SyntheticPool(condor.SyntheticPoolConfig{
@@ -139,25 +144,83 @@ func RunCensoring(cfg CensoringConfig) (*CensoringResult, error) {
 			IncludeCensored: censored,
 		})
 	}
-	long, err := collect(condor.MonthsSeconds(cfg.Months), false)
-	if err != nil {
-		return nil, err
+	var long *trace.Set
+	var longErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		long, longErr = collect(condor.MonthsSeconds(cfg.Months), false)
+	}()
+	short, shortErr := collect(cfg.ShortDays*24*3600, true)
+	<-done
+	if longErr != nil {
+		return nil, longErr
 	}
-	short, err := collect(cfg.ShortDays*24*3600, true)
-	if err != nil {
-		return nil, err
+	if shortErr != nil {
+		return nil, shortErr
 	}
 
 	res := &CensoringResult{Config: cfg}
 	costs := markov.Costs{C: cfg.CTime, R: cfg.CTime, L: cfg.CTime}
-	simCfg := sim.Config{Costs: costs, CheckpointMB: PaperCheckpointMB}
 	// Uncensored strategy fits flow through one cache keyed
-	// (machine, strategy): every entry is distinct today, but the cache
-	// preserves the fit-once contract if the machine loop is ever
-	// parallelized or a strategy re-asks for a fit.
+	// (machine, strategy): every entry is distinct today, and the
+	// single-flight cache keeps the fit-once contract should a
+	// strategy ever re-ask for a fit from another worker.
 	fits := fit.NewCache()
 
-	// Per-(strategy, model) accumulators.
+	// One slot per machine: its observation counts and its
+	// (strategy, model) replays in presentation order.
+	type sample struct {
+		s       CensoringStrategy
+		m       fit.Model
+		eff, mb float64
+	}
+	type slot struct {
+		censObs, totObs int
+		samples         []sample
+	}
+	names := long.Machines()
+	slots := make([]slot, len(names))
+	fanOut(len(names), func(mi int) {
+		name := names[mi]
+		longTr := long.Traces[name]
+		shortTr, ok := short.Traces[name]
+		if !ok || longTr.Len() <= trace.DefaultTrainingSize+10 || shortTr.Len() < 5 {
+			return
+		}
+		trainLong, test, err := longTr.Split(trace.DefaultTrainingSize)
+		if err != nil {
+			return
+		}
+		sl := &slots[mi]
+		durs, flags := shortTr.Observations()
+		for _, f := range flags {
+			sl.totObs++
+			if f {
+				sl.censObs++
+			}
+		}
+		for si, strategy := range CensoringStrategies {
+			for k, model := range fit.Models {
+				d, err := fitWithStrategy(fits, name, strategy, model, durs, flags, trainLong)
+				if err != nil {
+					continue // strategy may be infeasible (e.g. drop leaves nothing)
+				}
+				cell := (mi*len(CensoringStrategies)+si)*len(fit.Models) + k
+				run, err := sim.RunFitted(d, model, test, sim.Config{
+					Costs:        costs,
+					CheckpointMB: PaperCheckpointMB,
+					TracePid:     censoringTraceLanes + uint64(cell) + 1,
+				})
+				if err != nil {
+					continue
+				}
+				sl.samples = append(sl.samples, sample{strategy, model, run.Result.Efficiency(), run.Result.MBTransferred})
+			}
+		}
+	})
+
+	// Per-(strategy, model) accumulators, filled in machine order.
 	type key struct {
 		s CensoringStrategy
 		m fit.Model
@@ -165,39 +228,13 @@ func RunCensoring(cfg CensoringConfig) (*CensoringResult, error) {
 	effs := make(map[key][]float64)
 	mbs := make(map[key][]float64)
 	var censObs, totObs int
-
-	for _, name := range long.Machines() {
-		longTr := long.Traces[name]
-		shortTr, ok := short.Traces[name]
-		if !ok || longTr.Len() <= trace.DefaultTrainingSize+10 || shortTr.Len() < 5 {
-			continue
-		}
-		trainLong, test, err := longTr.Split(trace.DefaultTrainingSize)
-		if err != nil {
-			continue
-		}
-		durs, flags := shortTr.Observations()
-		for _, f := range flags {
-			totObs++
-			if f {
-				censObs++
-			}
-		}
-
-		for _, strategy := range CensoringStrategies {
-			for _, model := range fit.Models {
-				d, err := fitWithStrategy(fits, name, strategy, model, durs, flags, trainLong)
-				if err != nil {
-					continue // strategy may be infeasible (e.g. drop leaves nothing)
-				}
-				eff, mb, err := replay(d, test, simCfg)
-				if err != nil {
-					continue
-				}
-				k := key{strategy, model}
-				effs[k] = append(effs[k], eff)
-				mbs[k] = append(mbs[k], mb)
-			}
+	for _, sl := range slots {
+		censObs += sl.censObs
+		totObs += sl.totObs
+		for _, x := range sl.samples {
+			k := key{x.s, x.m}
+			effs[k] = append(effs[k], x.eff)
+			mbs[k] = append(mbs[k], x.mb)
 		}
 	}
 	if totObs > 0 {
@@ -249,27 +286,6 @@ func fitWithStrategy(fits *fit.Cache, machine string, s CensoringStrategy, m fit
 		return fits.Fit(key, m, trainLong)
 	}
 	return nil, fmt.Errorf("experiments: unknown strategy %v", s)
-}
-
-func replay(d dist.Distribution, test []float64, cfg sim.Config) (eff, mb float64, err error) {
-	m := markov.Model{Avail: d, Costs: cfg.Costs}
-	maxAvail := 0.0
-	for _, a := range test {
-		if a > maxAvail {
-			maxAvail = a
-		}
-	}
-	sched, err := m.BuildSchedule(cfg.Costs.R, markov.ScheduleOptions{
-		Horizon: maxAvail + cfg.Costs.R + cfg.Costs.C + 1,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	res, err := sim.Run(test, sched, cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.Efficiency(), res.MBTransferred, nil
 }
 
 // RenderCensoring renders the study as text.

@@ -118,10 +118,11 @@ func RunSensitivity(cfg SensitivityConfig) (*SensitivityResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		baseline, _, err := replay(fitted, durations, simCfg)
+		base, err := sim.RunFitted(fitted, model, durations, simCfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: sensitivity baseline %v: %w", model, err)
 		}
+		baseline := base.Result.Efficiency()
 		for _, p := range cfg.Perturbations {
 			cell := SensitivityCell{
 				Model: model, Perturbation: p,
@@ -136,11 +137,11 @@ func RunSensitivity(cfg SensitivityConfig) (*SensitivityResult, error) {
 					if err != nil {
 						continue // perturbation left the family's domain
 					}
-					eff, _, err := replay(d, durations, simCfg)
-					if err != nil {
-						// Degenerate schedule: total failure to make
-						// progress counts as zero efficiency.
-						eff = 0
+					// A degenerate schedule (total failure to make
+					// progress) counts as zero efficiency.
+					eff := 0.0
+					if run, err := sim.RunFitted(d, model, durations, simCfg); err == nil {
+						eff = run.Result.Efficiency()
 					}
 					if eff < cell.Worst {
 						cell.Worst = eff

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/cycleharvest/ckptsched/internal/fit"
 	"github.com/cycleharvest/ckptsched/internal/markov"
@@ -60,60 +61,71 @@ func RunSweep(w *Workload, ctimes []float64, checkpointMB float64) (*Sweep, erro
 	}
 
 	fits := fit.NewCache()
-	type task struct {
-		ci, mi int
-	}
-	tasks := make(chan task)
-	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
-	workers := runtime.GOMAXPROCS(0)
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range tasks {
-				md := w.Data[t.mi]
-				costs := markov.Costs{C: ctimes[t.ci], R: ctimes[t.ci], L: ctimes[t.ci]}
-				for _, model := range fit.Models {
-					fail := func(err error) {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = fmt.Errorf("experiments: %s C=%g %v: %w",
-								md.Machine, ctimes[t.ci], model, err)
-						}
-						mu.Unlock()
-					}
-					d, err := fits.Fit(md.Machine, model, md.Train)
-					if err != nil {
-						fail(fmt.Errorf("fit: %w", err))
-						continue
-					}
-					run, err := sim.RunFitted(d, model, md.Test, sim.Config{
-						Costs:        costs,
-						CheckpointMB: checkpointMB,
-					})
-					if err != nil {
-						fail(err)
-						continue
-					}
-					s.Efficiency[model][t.ci][t.mi] = run.Result.Efficiency()
-					s.MB[model][t.ci][t.mi] = run.Result.MBTransferred
+	fanOut(len(ctimes)*len(w.Data), func(t int) {
+		ci, mi := t/len(w.Data), t%len(w.Data)
+		md := w.Data[mi]
+		costs := markov.Costs{C: ctimes[ci], R: ctimes[ci], L: ctimes[ci]}
+		for k, model := range fit.Models {
+			fail := func(err error) {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = fmt.Errorf("experiments: %s C=%g %v: %w",
+						md.Machine, ctimes[ci], model, err)
 				}
+				mu.Unlock()
 			}
-		}()
-	}
-	for ci := range ctimes {
-		for mi := range w.Data {
-			tasks <- task{ci, mi}
+			d, err := fits.Fit(md.Machine, model, md.Train)
+			if err != nil {
+				fail(fmt.Errorf("fit: %w", err))
+				continue
+			}
+			run, err := sim.RunFitted(d, model, md.Test, sim.Config{
+				Costs:        costs,
+				CheckpointMB: checkpointMB,
+				TracePid:     sweepTraceLanes + uint64(t*len(fit.Models)+k) + 1,
+			})
+			if err != nil {
+				fail(err)
+				continue
+			}
+			s.Efficiency[model][ci][mi] = run.Result.Efficiency()
+			s.MB[model][ci][mi] = run.Result.MBTransferred
 		}
-	}
-	close(tasks)
-	wg.Wait()
+	})
 	if firstErr != nil {
 		return nil, firstErr
 	}
 	return s, nil
+}
+
+// Schedule-build trace lanes of the parallel stages. Each cell passes
+// its lane as sim.Config.TracePid, which sim.RunFitted hands to
+// markov.ScheduleOptions.TraceLane, so a traced run is byte-identical
+// whatever order the workers finish in. Each stage numbers its cells
+// from its own base, keeping lanes unique within one -run all trace.
+const (
+	sweepTraceLanes     = 0
+	censoringTraceLanes = 1 << 24
+)
+
+// fanOut calls fn(i) for every i in [0, n) on GOMAXPROCS workers, in
+// index order of dispatch, and returns once every call has finished.
+// Each call must write only results owned by its index.
+func fanOut(n int, fn func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func grid(rows, cols int) [][]float64 {

@@ -109,37 +109,15 @@ func RunTable2(cfg Table2Config) (*Table2Result, error) {
 				if err != nil {
 					return nil, fmt.Errorf("experiments: table2 fit %v: %w", model, err)
 				}
-				eff, err := simulateWith(d, durations, simCfg)
+				run, err := sim.RunFitted(d, model, durations, simCfg)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: table2 sim %v C=%g: %w", model, ctime, err)
 				}
 				res.Cells = append(res.Cells, Table2Cell{
-					Model: model, CTime: ctime, FitOnAll: all, Efficiency: eff,
+					Model: model, CTime: ctime, FitOnAll: all, Efficiency: run.Result.Efficiency(),
 				})
 			}
 		}
 	}
 	return res, nil
-}
-
-// simulateWith replays the full trace under a schedule built from d.
-func simulateWith(d dist.Distribution, durations []float64, cfg sim.Config) (float64, error) {
-	m := markov.Model{Avail: d, Costs: cfg.Costs}
-	maxAvail := 0.0
-	for _, a := range durations {
-		if a > maxAvail {
-			maxAvail = a
-		}
-	}
-	sched, err := m.BuildSchedule(cfg.Costs.R, markov.ScheduleOptions{
-		Horizon: maxAvail + cfg.Costs.R + cfg.Costs.C + 1,
-	})
-	if err != nil {
-		return 0, err
-	}
-	res, err := sim.Run(durations, sched, cfg)
-	if err != nil {
-		return 0, err
-	}
-	return res.Efficiency(), nil
 }

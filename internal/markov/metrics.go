@@ -46,11 +46,17 @@ func countedRatio(f func(float64) float64, n *uint64) func(float64) float64 {
 	}
 }
 
-// tracePidBase offsets every schedule-build pid lane into a band of
-// its own, so callers that hand out small per-session or per-run pids
-// (ckpt-sim lanes, campaign sample indices) never collide with the
-// lanes BuildSchedule claims from the global counter.
-const tracePidBase = 1 << 20
+// tracePidBase offsets every counter-claimed schedule-build pid lane
+// into a band of its own, so callers that hand out small per-session
+// or per-run pids (ckpt-sim lanes, campaign sample indices) never
+// collide with the lanes BuildSchedule claims from the global counter.
+// traceLaneBase starts the band for caller-chosen lanes
+// (ScheduleOptions.TraceLane), far enough above the counter band that
+// no realistic number of counter claims reaches it.
+const (
+	tracePidBase  = 1 << 20
+	traceLaneBase = 1 << 32
+)
 
 // traceState holds the package's tracing hooks. tracer follows the
 // same set-before-work contract as Instrument; buildIDs allocates one
@@ -61,7 +67,8 @@ var traceState struct {
 }
 
 // Trace points the package's schedule-search tracing at t: every
-// BuildSchedule call claims a fresh pid and emits one
+// BuildSchedule call claims a fresh pid (or runs on its
+// ScheduleOptions.TraceLane) and emits one
 // "markov.build_schedule" span containing per-interval "markov.topt"
 // child spans, all on a virtual time axis of cumulative objective
 // evaluations within the build (wall time would make deterministic CLI

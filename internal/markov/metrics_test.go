@@ -54,3 +54,36 @@ func TestBuildScheduleMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildScheduleTraceLanes pins the lane contract: a build with a
+// TraceLane runs on traceLaneBase+lane without claiming a counter
+// lane, so serial callers' counter lanes stay where they were, and the
+// two bands never meet.
+func TestBuildScheduleTraceLanes(t *testing.T) {
+	tr := obs.NewTracer(obs.TracerOptions{FullFidelity: true})
+	Trace(tr)
+	defer Trace(nil)
+
+	m := Model{Avail: dist.NewWeibull(0.43, 3409), Costs: mustCosts(t, 100, 100, 100)}
+	for _, lane := range []uint64{0, 7, 0, 3} {
+		if _, err := m.BuildSchedule(0, ScheduleOptions{Horizon: 3600, TraceLane: lane}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var pids []uint64
+	for _, ev := range tr.Events() {
+		if ev.Name == "markov.build_schedule" {
+			pids = append(pids, ev.Pid)
+		}
+	}
+	want := []uint64{tracePidBase + 1, tracePidBase + 2, traceLaneBase + 3, traceLaneBase + 7}
+	if len(pids) != len(want) {
+		t.Fatalf("build spans on pids %v, want %v", pids, want)
+	}
+	for i := range want {
+		if pids[i] != want[i] {
+			t.Errorf("build spans on pids %v, want %v", pids, want)
+			break
+		}
+	}
+}

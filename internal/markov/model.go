@@ -308,16 +308,21 @@ func (m Model) toptWarm(age, prev float64, opts OptimizeOptions) (T, ratio float
 // gammaEvaluator computes Γ(T) at one fixed resource age with the
 // age-constant base-distribution terms — S(age), F(age), and the
 // partial moment PM(age) — hoisted out of the per-T inner loop. Every
-// T_opt search probes Γ dozens of times at the same age, and those
-// three terms cost three of the eight special-function evaluations
-// behind each probe.
+// T_opt search probes Γ dozens of times at the same age, so the age
+// terms are paid once per search. Each probe then makes two fused
+// dist.Eval calls, at age+C+T and at L+R+T, where Model.Gamma makes
+// five separate Survival/CDF/PartialMoment calls; for the
+// hyperexponential and Weibull families the fused call computes the
+// shared e^(-λᵢx) or (x/β)^α once for all three quantities.
 //
 // The arithmetic below reproduces Model.Gamma exactly: the same
-// base-distribution calls combined by the same expressions in the same
-// order (compare At and dist.Conditional), so optimizers driven by the
-// evaluator return bit-identical abscissae and ratios. That invariant
-// is what lets the caching claim "identical table and figure numbers";
-// any change here must preserve it or the determinism tests fail.
+// base-distribution values (dist.Evaler guarantees the fused values
+// equal the separate calls bitwise) combined by the same expressions
+// in the same order (compare At and dist.Conditional), so optimizers
+// driven by the evaluator return bit-identical abscissae and ratios.
+// That invariant is what lets the caching claim "identical table and
+// figure numbers"; any change here must preserve it or the
+// determinism tests fail.
 type gammaEvaluator struct {
 	m      Model
 	age    float64
@@ -332,13 +337,9 @@ func (m Model) evaluator(age float64) gammaEvaluator {
 	if age < 0 {
 		age = 0
 	}
-	return gammaEvaluator{
-		m:      m,
-		age:    age,
-		sAge:   m.Avail.Survival(age),
-		cdfAge: m.Avail.CDF(age),
-		pmAge:  m.Avail.PartialMoment(age),
-	}
+	e := gammaEvaluator{m: m, age: age}
+	e.sAge, e.cdfAge, e.pmAge = dist.Eval(m.Avail, age)
+	return e
 }
 
 // gamma evaluates Γ(T) with the cached age terms; it mirrors
@@ -353,9 +354,10 @@ func (e gammaEvaluator) gamma(T float64) float64 {
 	// State 0 under the future-lifetime distribution. span0 > 0, so
 	// the x<=0 guards of dist.Conditional never fire here.
 	span0 := ckptC + T
+	s0, cdf0, pm0 := dist.Eval(m.Avail, e.age+span0)
 	var P01 float64
 	if e.sAge > 0 {
-		P01 = m.Avail.Survival(e.age+span0) / e.sAge
+		P01 = s0 / e.sAge
 	}
 	K01 := span0
 	P02 := 1 - P01
@@ -364,14 +366,14 @@ func (e gammaEvaluator) gamma(T float64) float64 {
 	}
 	var K02 float64
 	if e.sAge > 0 {
-		dF := m.Avail.CDF(e.age+span0) - e.cdfAge
-		pm := (m.Avail.PartialMoment(e.age+span0) - e.pmAge - e.age*dF) / e.sAge
+		dF := cdf0 - e.cdfAge
+		pm := (pm0 - e.pmAge - e.age*dF) / e.sAge
 		K02 = pm / P02
 	}
 
 	// State 2 under the unconditional distribution (age has reset).
 	span2 := ckptL + m.Costs.R + T
-	P21 := m.Avail.Survival(span2)
+	P21, _, pm2 := dist.Eval(m.Avail, span2)
 	if P21 <= 0 {
 		return math.Inf(1)
 	}
@@ -379,7 +381,7 @@ func (e gammaEvaluator) gamma(T float64) float64 {
 	P22 := 1 - P21
 	var K22 float64
 	if P22 > 0 {
-		K22 = m.Avail.PartialMoment(span2) / P22
+		K22 = pm2 / P22
 	}
 	e2 := K21 + K22*P22/P21
 	return P01*K01 + P02*(K02+e2)

@@ -211,6 +211,14 @@ type ScheduleOptions struct {
 	Horizon float64
 	// MaxIntervals caps the schedule length. Default: 10000.
 	MaxIntervals int
+	// TraceLane, when nonzero, puts this build's trace spans on a lane
+	// the caller chose instead of one claimed from the package counter.
+	// Callers that build schedules concurrently number their cells so
+	// the trace does not depend on completion order (sim.RunFitted
+	// passes sim.Config.TracePid). Lanes live in a band of their own
+	// (traceLaneBase) and never collide with counter lanes; the caller
+	// keeps them unique among its own builds.
+	TraceLane uint64
 }
 
 func (o *ScheduleOptions) setDefaults() {
@@ -244,14 +252,20 @@ func (m Model) BuildSchedule(startAge float64, opts ScheduleOptions) (*Schedule,
 
 	// Tracing runs on a virtual time axis of cumulative objective
 	// evaluations within this build — deterministic where wall time is
-	// not (DESIGN.md §12). Each build claims its own pid lane in a
-	// reserved band above tracePidBase so schedule builds never share
-	// a lane with the per-session/per-run pids the callers hand out.
+	// not (DESIGN.md §12). Each build runs on a pid lane in a reserved
+	// band so schedule builds never share a lane with the
+	// per-session/per-run pids the callers hand out: the caller's
+	// TraceLane above traceLaneBase, else a fresh lane claimed from
+	// the counter above tracePidBase.
 	tr := traceState.tracer
 	var pid, evalAxis uint64
 	var bsp *obs.Span
 	if tr != nil {
-		pid = tracePidBase + traceState.buildIDs.Add(1)
+		if opts.TraceLane != 0 {
+			pid = traceLaneBase + opts.TraceLane
+		} else {
+			pid = tracePidBase + traceState.buildIDs.Add(1)
+		}
 		bsp = tr.StartSpanAt(pid, 1, "markov.build_schedule", 0).SetAttr(
 			obs.AttrFloat("start_age", startAge),
 			obs.AttrStr("model", m.Avail.Name()))

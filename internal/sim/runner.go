@@ -36,7 +36,10 @@ func RunModel(train, test []float64, model fit.Model, cfg Config) (MachineRun, e
 // already-estimated availability distribution. The fit-once sweep in
 // internal/experiments uses it to share one fit.Cache entry across the
 // whole checkpoint-duration axis; the result is identical to RunModel
-// on the same fit.
+// on the same fit. A nonzero cfg.TracePid also names the schedule
+// build's trace lane (markov.ScheduleOptions.TraceLane), so callers
+// that run many fitted replays concurrently get a trace that does not
+// depend on completion order.
 func RunFitted(d dist.Distribution, model fit.Model, test []float64, cfg Config) (MachineRun, error) {
 	m := markov.Model{Avail: d, Costs: cfg.Costs}
 
@@ -50,7 +53,8 @@ func RunFitted(d dist.Distribution, model fit.Model, test []float64, cfg Config)
 		}
 	}
 	sched, err := m.BuildSchedule(cfg.Costs.R, markov.ScheduleOptions{
-		Horizon: maxAvail + cfg.Costs.R + cfg.Costs.C + 1,
+		Horizon:   maxAvail + cfg.Costs.R + cfg.Costs.C + 1,
+		TraceLane: cfg.TracePid,
 	})
 	if err != nil {
 		return MachineRun{}, fmt.Errorf("sim: schedule %v: %w", model, err)

@@ -65,7 +65,8 @@ type Config struct {
 	Trace *obs.Tracer
 	// TracePid is the trace lane (Chrome trace pid) the run emits on;
 	// 0 means lane 1. Concurrent runs over distinct lanes export
-	// deterministically.
+	// deterministically. RunFitted also hands a nonzero TracePid to
+	// the schedule build as its markov trace lane.
 	TracePid uint64
 	// Predict configures the oracle fault predictor (DESIGN.md §13).
 	// The zero value disables prediction entirely: no RNG draws happen
