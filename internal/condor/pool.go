@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/cycleharvest/ckptsched/internal/dist"
 )
@@ -298,24 +299,50 @@ func matches(m Machine, j *Job) bool {
 	return true
 }
 
+// matchPass is the matchmaking pass match runs. It is a variable only
+// so pool_test.go can swap in the full-scan matcher this one replaced
+// as a differential oracle.
+var matchPass = (*Pool).firstFit
+
 // match places queued jobs on unoccupied idle machines (FIFO over the
 // queue, first matching machine in declaration order).
-func (p *Pool) match() {
-	remaining := p.queue[:0]
-	for _, j := range p.queue {
-		placed := false
-		for _, ms := range p.machines {
-			if ms.idle && ms.running == nil && matches(ms.spec, j) {
-				p.place(j, ms)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			remaining = append(remaining, j)
+func (p *Pool) match() { matchPass(p) }
+
+// firstFit is match's pass. It collects the free machines once, in
+// declaration order, and hands each queued job the first one on that
+// list that matches, so a pass costs O(machines + queue × free) rather
+// than a full machine scan per job. Placement hooks never call back
+// into the pool (see Job), so the free list only shrinks by the
+// placements the pass itself makes.
+func (p *Pool) firstFit() {
+	if len(p.queue) == 0 {
+		return
+	}
+	var buf [8]*machineState // free lists are short: keep them off the heap
+	free := buf[:0]
+	for _, ms := range p.machines {
+		if ms.idle && ms.running == nil {
+			free = append(free, ms)
 		}
 	}
-	p.queue = remaining
+	kept := 0
+	for qi, j := range p.queue {
+		if len(free) == 0 {
+			kept += copy(p.queue[kept:], p.queue[qi:])
+			break
+		}
+		fi := slices.IndexFunc(free, func(ms *machineState) bool { return matches(ms.spec, j) })
+		if fi < 0 {
+			p.queue[kept] = j
+			kept++
+			continue
+		}
+		ms := free[fi]
+		free = slices.Delete(free, fi, fi+1)
+		p.place(j, ms)
+	}
+	clear(p.queue[kept:])
+	p.queue = p.queue[:kept]
 }
 
 func (p *Pool) place(j *Job, ms *machineState) {

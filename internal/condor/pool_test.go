@@ -1,6 +1,9 @@
 package condor
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/cycleharvest/ckptsched/internal/dist"
@@ -240,5 +243,117 @@ func TestPoolDeterminism(t *testing.T) {
 	}
 	if s1 == 0 || e1 == 0 {
 		t.Errorf("nothing happened: starts=%d evictions=%d", s1, e1)
+	}
+}
+
+// matchScan is the matchmaker firstFit replaced, kept as its oracle:
+// for each queued job in FIFO order, scan every machine in declaration
+// order for the first idle, unoccupied one that matches.
+func (p *Pool) matchScan() {
+	remaining := p.queue[:0]
+	for _, j := range p.queue {
+		placed := false
+		for _, ms := range p.machines {
+			if ms.idle && ms.running == nil && matches(ms.spec, j) {
+				p.place(j, ms)
+				placed = true
+				break
+			}
+		}
+		if !placed {
+			remaining = append(remaining, j)
+		}
+	}
+	p.queue = remaining
+}
+
+// TestFirstFitMatchesScan drives randomized pools — mixed memory and
+// architecture, jobs with and without requirements, requeueing and
+// not — through submits, completions and removals, once with firstFit
+// and once with the scan oracle, and requires the same placement
+// sequence, eviction sequence and counters.
+func TestFirstFitMatchesScan(t *testing.T) {
+	t.Cleanup(func() { matchPass = (*Pool).firstFit })
+	mems := []int{256, 512, 1024, 2048}
+	arches := []string{"x86", "arm", "sparc"}
+	run := func(trial int64) (log []string, starts, evictions int) {
+		rng := rand.New(rand.NewSource(trial))
+		var machines []Machine
+		for i := range 3 + rng.Intn(10) {
+			machines = append(machines, Machine{
+				Name:          fmt.Sprintf("m%d", i),
+				MemoryMB:      mems[rng.Intn(len(mems))],
+				Arch:          arches[rng.Intn(len(arches))],
+				Idle:          dist.NewExponential(1 / (200 + 2000*rng.Float64())),
+				Busy:          dist.NewExponential(1 / (100 + 1000*rng.Float64())),
+				InitiallyBusy: rng.Intn(3) == 0,
+			})
+		}
+		p, err := NewPool(machines, trial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs := make([]*Job, 4+rng.Intn(16))
+		for i := range jobs {
+			j := &Job{
+				Name:    fmt.Sprintf("j%d", i),
+				Requeue: rng.Intn(2) == 0,
+			}
+			if rng.Intn(2) == 0 {
+				j.RequiresMB = mems[rng.Intn(len(mems))]
+			}
+			if rng.Intn(3) == 0 {
+				j.RequiresArch = arches[rng.Intn(len(arches))]
+			}
+			j.OnStart = func(a Alloc) {
+				log = append(log, fmt.Sprintf("start %s on %s at %g (idle %g)", j.Name, a.Machine.Name, a.Start, a.TElapsed))
+			}
+			j.OnEvict = func(at float64) { log = append(log, fmt.Sprintf("evict %s at %g", j.Name, at)) }
+			j.OnComplete = func(at float64) { log = append(log, fmt.Sprintf("complete %s at %g", j.Name, at)) }
+			jobs[i] = j
+		}
+		now := 0.0
+		for range 300 {
+			now += 500 * rng.Float64()
+			p.RunUntil(now)
+			j := jobs[rng.Intn(len(jobs))]
+			switch j.State() {
+			case JobRunning:
+				if rng.Intn(2) == 0 {
+					err = p.Complete(j)
+				}
+			case JobQueued:
+				if rng.Intn(4) == 0 {
+					err = p.Remove(j)
+				}
+			default:
+				err = p.Submit(j)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			log = append(log, fmt.Sprintf("queue %d", p.QueueLen()))
+		}
+		return log, p.Starts, p.Evictions
+	}
+	for trial := int64(1); trial <= 40; trial++ {
+		matchPass = (*Pool).firstFit
+		got, gotStarts, gotEvictions := run(trial)
+		matchPass = (*Pool).matchScan
+		want, wantStarts, wantEvictions := run(trial)
+		if gotStarts != wantStarts || gotEvictions != wantEvictions {
+			t.Errorf("trial %d: starts/evictions %d/%d, oracle %d/%d", trial, gotStarts, gotEvictions, wantStarts, wantEvictions)
+		}
+		if !slices.Equal(got, want) {
+			for i := range min(len(got), len(want)) {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d: event %d is %q, oracle %q", trial, i, got[i], want[i])
+				}
+			}
+			t.Fatalf("trial %d: %d events, oracle %d", trial, len(got), len(want))
+		}
+		if gotStarts == 0 || gotEvictions == 0 {
+			t.Errorf("trial %d: nothing happened (starts %d, evictions %d)", trial, gotStarts, gotEvictions)
+		}
 	}
 }

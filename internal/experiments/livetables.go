@@ -79,7 +79,9 @@ type LiveCampaignConfig struct {
 const TraceCampaignStride = 1 << 16
 
 // RunLiveTable runs one live campaign and aggregates it into table
-// rows. It also returns the raw campaign for validation.
+// rows. It also returns the raw campaign for validation. The campaign
+// fits through the workload's memo, so campaigns on one Workload fit
+// each (machine, model) pair once between them.
 func RunLiveTable(name string, cfg LiveCampaignConfig) (*LiveTable, *live.Campaign, error) {
 	if cfg.Workload == nil {
 		return nil, nil, errors.New("experiments: live table needs a workload")
@@ -90,6 +92,7 @@ func RunLiveTable(name string, cfg LiveCampaignConfig) (*LiveTable, *live.Campai
 	camp, err := live.RunCampaign(live.CampaignConfig{
 		Machines:        cfg.Workload.Machines,
 		History:         cfg.Workload.History,
+		Fits:            cfg.Workload.fits,
 		Link:            cfg.Link,
 		CheckpointMB:    PaperCheckpointMB,
 		SamplesPerModel: cfg.SamplesPerModel,
@@ -140,12 +143,13 @@ type ValidationResult struct {
 	Rows     []live.ValidationRow
 }
 
-// RunValidation replays a live campaign through the simulator.
+// RunValidation replays a live campaign through the simulator, reusing
+// the fits the campaign made through the workload's memo.
 func RunValidation(w *Workload, camp *live.Campaign) (*ValidationResult, error) {
 	if w == nil || camp == nil {
 		return nil, errors.New("experiments: validation needs a workload and a campaign")
 	}
-	rows, err := live.Validate(camp, w.History, 0)
+	rows, err := live.Validate(camp, w.History, w.fits)
 	if err != nil {
 		return nil, err
 	}

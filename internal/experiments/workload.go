@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"github.com/cycleharvest/ckptsched/internal/condor"
+	"github.com/cycleharvest/ckptsched/internal/fit"
 	"github.com/cycleharvest/ckptsched/internal/trace"
 )
 
@@ -74,6 +75,14 @@ type Workload struct {
 	// split into the paper's first-25 training prefix and the
 	// experimental remainder.
 	Data []MachineData
+
+	// fits memoizes the live campaigns' (machine, model) fits to
+	// History, shared by every campaign and validation run on this
+	// workload. RunSweep keeps its own cache: it fits the Train
+	// prefixes under the same machine names, which this memo would
+	// reject with fit.ErrKeyReuse. nil (a Workload built without
+	// NewWorkload) gives each campaign a private memo.
+	fits *fit.Cache
 }
 
 // NewWorkload builds the shared dataset: generate the pool, run the
@@ -99,7 +108,7 @@ func NewWorkload(cfg WorkloadConfig) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Workload{Machines: machines, History: history}
+	w := &Workload{Machines: machines, History: history, fits: fit.NewCache()}
 	for _, tr := range history.WithAtLeast(cfg.MinRecords) {
 		train, test, err := tr.Split(trace.DefaultTrainingSize)
 		if err != nil {

@@ -182,7 +182,7 @@ func TestEvictionMidDeltaBillsDeltaBytes(t *testing.T) {
 		Delta:        DeltaPolicy{Enabled: true, DirtyRate: 0.0002},
 	}
 	cfg.setDefaults()
-	fits, err := newFitCache(history, cfg.MinHistory)
+	fits, err := newFitCache(history, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

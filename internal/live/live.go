@@ -71,9 +71,14 @@ type CampaignConfig struct {
 	// SamplesPerModel is how many test-process runs to collect per
 	// model family.
 	SamplesPerModel int
-	// MinHistory is the minimum records needed to fit a machine's own
-	// trace; machines with less use the pooled trace. Default 25.
-	MinHistory int
+	// Fits is the (machine, model) fit memo. Each machine is fitted to
+	// its own History trace, or to the pooled archive when it has fewer
+	// than trace.DefaultTrainingSize records, so a memo shared by
+	// campaigns over the same History fits each pair once across all
+	// of them. It must only ever see one History: a machine name that
+	// reappears with other data fails with fit.ErrKeyReuse. nil builds
+	// a private memo for this campaign.
+	Fits *fit.Cache
 	// RequiresMB is the job's memory requirement. Default 512 (the
 	// paper's test application holds a 500 MB image).
 	RequiresMB int
@@ -157,9 +162,6 @@ type DeltaPolicy struct {
 }
 
 func (c *CampaignConfig) setDefaults() {
-	if c.MinHistory <= 0 {
-		c.MinHistory = trace.DefaultTrainingSize
-	}
 	if c.Delta.Enabled {
 		if c.Delta.ChunkKB <= 0 {
 			c.Delta.ChunkKB = 64
@@ -363,7 +365,7 @@ func RunCampaign(cfg CampaignConfig) (*Campaign, error) {
 		return nil, errors.New("live: Delta.VariableCost requires Delta.Enabled")
 	}
 
-	fits, err := newFitCache(cfg.History, cfg.MinHistory)
+	fits, err := newFitCache(cfg.History, cfg.Fits)
 	if err != nil {
 		return nil, err
 	}
@@ -981,13 +983,13 @@ func conservativeTopt(fits *fitCache, heartbeatSec, planC, age float64) float64 
 // fitCache memoizes per-(machine, model) fits, with a pooled fallback
 // for machines lacking history. It wraps the concurrency-safe
 // fit.Cache, so replay-phase workers can share it: each (machine,
-// model) pair is fitted at most once across the whole campaign, and
-// concurrent first requests single-flight instead of refitting.
+// model) pair is fitted at most once across the whole campaign — and
+// across every campaign sharing the memo — and concurrent first
+// requests single-flight instead of refitting.
 type fitCache struct {
-	history    *trace.Set
-	minRecords int
-	pooled     []float64
-	cache      *fit.Cache
+	history *trace.Set
+	pooled  []float64
+	cache   *fit.Cache
 	// conservative() memoizes the exponential fit of the pooled
 	// archive, the degraded-mode fallback distribution.
 	consOnce sync.Once
@@ -995,7 +997,9 @@ type fitCache struct {
 	consErr  error
 }
 
-func newFitCache(history *trace.Set, minRecords int) (*fitCache, error) {
+// newFitCache wraps memo (a fresh private one when nil) for fits
+// against history.
+func newFitCache(history *trace.Set, memo *fit.Cache) (*fitCache, error) {
 	var pooled []float64
 	for _, name := range history.Machines() {
 		pooled = append(pooled, history.Traces[name].Durations()...)
@@ -1003,19 +1007,19 @@ func newFitCache(history *trace.Set, minRecords int) (*fitCache, error) {
 	if len(pooled) == 0 {
 		return nil, errors.New("live: empty history")
 	}
-	return &fitCache{
-		history:    history,
-		minRecords: minRecords,
-		pooled:     pooled,
-		cache:      fit.NewCache(),
-	}, nil
+	if memo == nil {
+		memo = fit.NewCache()
+	}
+	return &fitCache{history: history, pooled: pooled, cache: memo}, nil
 }
 
-// fitFor returns the fitted distribution for machine under model. Safe
-// for concurrent use.
+// fitFor returns the fitted distribution for machine under model: a
+// fit of the machine's own trace when it holds at least
+// trace.DefaultTrainingSize records, of the pooled archive otherwise.
+// Safe for concurrent use.
 func (fc *fitCache) fitFor(machine string, model fit.Model) (dist.Distribution, error) {
 	data := fc.pooled
-	if tr, ok := fc.history.Traces[machine]; ok && tr.Len() >= fc.minRecords {
+	if tr, ok := fc.history.Traces[machine]; ok && tr.Len() >= trace.DefaultTrainingSize {
 		data = tr.Durations()
 	}
 	return fc.cache.Fit(machine, model, data)

@@ -33,15 +33,15 @@ type ValidationRow struct {
 func (v ValidationRow) Delta() float64 { return v.LiveEfficiency - v.SimEfficiency }
 
 // Validate replays every live sample through the discrete-event
-// simulator and reports per-model live-vs-simulated efficiency.
-func Validate(c *Campaign, history *trace.Set, minHistory int) ([]ValidationRow, error) {
+// simulator and reports per-model live-vs-simulated efficiency. Each
+// sample's model is fitted to history exactly as the campaign fitted
+// it (see CampaignConfig.Fits); pass the campaign's memo as fits to
+// reuse those fits, or nil to refit them privately.
+func Validate(c *Campaign, history *trace.Set, fits *fit.Cache) ([]ValidationRow, error) {
 	if c == nil || len(c.Samples) == 0 {
 		return nil, errors.New("live: no samples to validate")
 	}
-	if minHistory <= 0 {
-		minHistory = trace.DefaultTrainingSize
-	}
-	fits, err := newFitCache(history, minHistory)
+	fc, err := newFitCache(history, fits)
 	if err != nil {
 		return nil, err
 	}
@@ -68,7 +68,7 @@ func Validate(c *Campaign, history *trace.Set, minHistory int) ([]ValidationRow,
 			if len(s.MeasuredCs) > 0 {
 				cMean = stats.Mean(s.MeasuredCs)
 			}
-			d, err := fits.fitFor(s.Machine, model)
+			d, err := fc.fitFor(s.Machine, model)
 			if err != nil {
 				return nil, err
 			}
